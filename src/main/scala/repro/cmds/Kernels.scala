@@ -195,10 +195,12 @@ object Kernels extends Serializable {
     if (reverse) base.reverse else base
   }
 
+  private val NumPrefix = Pattern.compile("^\\s*(-?[0-9]+(\\.[0-9]*)?)")
+
   /** Numeric value of a string's leading number (GNU sort -n semantics):
     * optional blanks, optional sign, digits, optional fraction; else 0. */
   private[cmds] def numPrefix(s: String): Double = {
-    val m = Pattern.compile("^\\s*(-?[0-9]+(\\.[0-9]*)?)").matcher(s)
+    val m = NumPrefix.matcher(s)
     if (m.find()) m.group(1).toDouble else 0.0
   }
 

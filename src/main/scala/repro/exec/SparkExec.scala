@@ -19,14 +19,16 @@ import repro.core.PClass
   *  - (S) command  → `mapPartitions` with the shared per-line kernel
   *    (parallel across however many chunk-partitions feed it);
   *  - `cat`        → `union` (partition concatenation, order-preserving);
-  *  - (P)/(N) node → order-preserving gather to one partition (a real
-  *    shuffle, i.e. a stage boundary — Spark's analogue of PaSh's single
-  *    aggregator process) + whole-stream kernel;
+  *  - (P)/(N) node → order-preserving gather to one task (a stage boundary
+  *    when the input has several partitions — Spark's analogue of PaSh's
+  *    single aggregator process) + whole-stream kernel;
   *  - map replica  → whole-stream kernel over its chunk;
-  *  - aggregate    → gather both inputs, merge with the shared aggregator;
-  *  - `split`      → count + contiguous index ranges over a cached input
-  *    (faithful to PaSh's line-counting split, which also consumes its
-  *    whole input before dispersing it);
+  *  - aggregate    → the tree's leaves cached in one parallel job, then one
+  *    n-ary merge task with the shared aggregator;
+  *  - `split`      → the input cached as one block (an `Array[String]`);
+  *    chunk i slices lines [n·i/w, n·(i+1)/w) out of it (faithful to PaSh's
+  *    line-counting split, which also consumes its whole input before
+  *    dispersing it);
   *  - relay        → identity (Spark tasks have no shell laziness; the
   *    eager/blocking distinction is studied on the discrete-event
   *    simulator instead — DESIGN.md).
@@ -41,13 +43,21 @@ final class SparkExec(spark: SparkSession, store: Store) {
 
   private val persisted = collection.mutable.ListBuffer.empty[RDD[_]]
 
-  /** Stage boundary: cache the given streams and force them in ONE
-    * parallel job, so each chunk's upstream kernel chain runs as its own
-    * task; downstream narrow consumers then read the in-process cache
-    * (deserialized, zero-copy in local mode — cheaper than a shuffle). */
-  private def materialize(streams: List[RDD[String]]): List[RDD[String]] = {
-    val cached = streams.map(_.persist(StorageLevel.MEMORY_AND_DISK))
-    persisted ++= cached
+  /** The stream as blocks: one `Array[String]` per partition, cached, so
+    * Spark's memory store sizes one array per partition, not every line. */
+  private def cacheBlocks(rdd: RDD[String]): RDD[Array[String]] = {
+    val blocks = rdd.mapPartitions(it => Iterator.single(it.toArray))
+      .persist(StorageLevel.MEMORY_AND_DISK)
+    persisted += blocks
+    blocks
+  }
+
+  /** Stage boundary: cache the given streams as blocks and force them in
+    * ONE parallel job, so each chunk's upstream kernel chain runs as its
+    * own task; downstream narrow consumers then read the in-process cache
+    * (cheaper than a shuffle in local mode). */
+  private def materialize(streams: List[RDD[String]]): List[RDD[Array[String]]] = {
+    val cached = streams.map(cacheBlocks)
     (cached match {
       case one :: Nil => one
       case many       => sc.union(many)
@@ -55,29 +65,34 @@ final class SparkExec(spark: SparkSession, store: Store) {
     cached
   }
 
-  /** Order-preserving gather of a multi-partition stream into one task's
-    * iterator: parallel materialization + narrow in-order coalesce. */
-  private def gather(rdd: RDD[String]): RDD[String] =
-    if (rdd.getNumPartitions <= 1) rdd
-    else materialize(List(rdd)).head.coalesce(1)
+  /** A one-partition stream stays lazy (its chain runs inside the consumer's
+    * task); a wider one crosses a stage boundary. */
+  private def blocksOf(rdd: RDD[String]): RDD[Array[String]] =
+    if (rdd.getNumPartitions <= 1) rdd.mapPartitions(it => Iterator.single(it.toArray))
+    else materialize(List(rdd)).head
 
-  /** Materialize an edge inside a single task (inputs are already 1-part). */
-  private def wholeKernel(r: repro.core.Annotations.Resolved, ctx: Ctx,
-                          streams: List[RDD[String]]): RDD[String] = {
-    val gathered = streams.map(gather)
-    val tagged = gathered.zipWithIndex.map { case (s, i) =>
-      s.mapPartitions(it => it.map((i, _)), preservesPartitioning = true)
+  /** Order-preserving gather of a stream into one partition. */
+  private def gather(rdd: RDD[String]): RDD[String] =
+    if (rdd.getNumPartitions <= 1) rdd else merge(List(blocksOf(rdd)))(_.head)
+
+  /** One task runs `f` over the streams, each stream's blocks concatenated
+    * in partition order. Blocks are tagged (stream, partition) and sorted in
+    * the task, so order does not rest on `coalesce` keeping its parents'. */
+  private def merge(streams: List[RDD[Array[String]]])(
+      f: List[Vector[String]] => Vector[String]): RDD[String] = {
+    val n = streams.size
+    val tagged = streams.zipWithIndex.map { case (s, i) =>
+      s.mapPartitionsWithIndex((p, it) => it.map(a => ((i, p), a)))
     }
     val one = tagged match {
-      case Nil      => sc.parallelize(Seq.empty[(Int, String)], 1)
-      case x :: Nil => x
-      case many     => sc.union(many).coalesce(1)
+      case Nil => sc.parallelize(Seq.empty[((Int, Int), Array[String])], 1)
+      case t :: Nil if t.getNumPartitions == 1 => t
+      case many => sc.union(many).coalesce(1)
     }
-    val nStreams = streams.size
     one.mapPartitions { it =>
-      val buckets = Array.fill(nStreams)(Vector.newBuilder[String])
-      it.foreach { case (i, l) => buckets(i) += l }
-      Kernels.whole(r)(ctx)(buckets.map(_.result()).toList).iterator
+      val parts = Array.fill(n)(Vector.newBuilder[String])
+      it.toArray.sortBy(_._1).foreach { case ((i, _), a) => parts(i) ++= a }
+      f(parts.iterator.map(_.result()).toList).iterator
     }
   }
 
@@ -137,8 +152,8 @@ final class SparkExec(spark: SparkSession, store: Store) {
                 Kernels.whole(r)(ctx)(List(it.toVector)).iterator
               }, preservesPartitioning = true))
           }
-        case CmdOp(r) => Vector(wholeKernel(r, ctx, streams))
-        case MapOp(r) => Vector(wholeKernel(r, ctx, streams))
+        case CmdOp(r) => Vector(merge(streams.map(blocksOf))(Kernels.whole(r)(ctx)(_)))
+        case MapOp(r) => Vector(merge(streams.map(blocksOf))(Kernels.whole(r)(ctx)(_)))
         case AggOp(_, _) if internalAggs.contains(n.id) =>
           Vector(null) // folded into the tree root's n-ary merge
 
@@ -155,23 +170,18 @@ final class SparkExec(spark: SparkSession, store: Store) {
           // one parallel job materializes every map replica, then a single
           // narrow task runs the n-ary merge over the cached chunks
           val cached = materialize(leafEdges.toList.map(e => edgeIn(g.edges(e))))
-          val tagged = cached.zipWithIndex.map { case (s, i) => s.map((i, _)) }
-          val nLeaves = leafEdges.size
-          Vector(sc.union(tagged).coalesce(1).mapPartitions { it =>
-            val buckets = Array.fill(nLeaves)(Vector.newBuilder[String])
-            it.foreach { case (i, l) => buckets(i) += l }
-            Kernels.aggN(key, r, buckets.map(_.result()).toList).iterator
-          })
+          Vector(merge(cached)(parts => Kernels.aggN(key, r, parts)))
         case SplitOp(w) =>
-          // PaSh's split counts lines first, then disperses contiguously
-          val zipped = streams.head.zipWithIndex()
-            .persist(StorageLevel.MEMORY_AND_DISK)
-          persisted += zipped
-          val n0 = zipped.count()
+          // PaSh's split consumes its whole input, then disperses contiguous
+          // ranges: the first chunk task fills the one-block cache, the
+          // others wait on its write lock and slice the same array
+          val block = cacheBlocks(gather(streams.head))
           Vector.tabulate(w) { i =>
-            val lo = n0 * i / w
-            val hi = n0 * (i + 1) / w
-            zipped.filter { case (_, idx) => idx >= lo && idx < hi }.map(_._1)
+            block.mapPartitions { it =>
+              val a = it.next()
+              val n = a.length.toLong
+              Iterator.range((n * i / w).toInt, (n * (i + 1) / w).toInt).map(a(_))
+            }
           }
         case CatOp =>
           Vector(streams match {
